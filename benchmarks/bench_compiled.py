@@ -101,7 +101,8 @@ def run_benchmark(sizes, repeats):
             clear_plan_cache()
             database, initial = _workload(size)
             stats = EvaluationStatistics()
-            relation = seminaive_closure((TC_RULE,), initial, database, stats)
+            relation = seminaive_closure((TC_RULE,), initial, database, stats,
+                                         config=EvalConfig(executor="rows"))
             return relation, stats
 
         def run_vector():

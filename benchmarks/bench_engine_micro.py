@@ -42,7 +42,10 @@ def test_conjunctive_join(benchmark):
 def test_seminaive_transitive_closure(benchmark):
     database = _dag_database()
     initial = _identity(database)
-    relation = benchmark(lambda: seminaive_closure((TC_RULE,), initial, database))
+    config = EvalConfig(executor="rows")
+    relation = benchmark(
+        lambda: seminaive_closure((TC_RULE,), initial, database, config=config)
+    )
     benchmark.extra_info["result_size"] = len(relation)
 
 

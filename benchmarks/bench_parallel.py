@@ -84,12 +84,9 @@ TC512_FANOUT = 8
 TC512_PROCESSES_FLOOR = 1.02
 
 
-def _configs(workers: int, executor: str) -> dict[str, EvalConfig | None]:
-    serial: EvalConfig | None = None
-    if executor != "rows":
-        serial = EvalConfig(executor=executor)
+def _configs(workers: int, executor: str) -> dict[str, EvalConfig]:
     return {
-        "serial": serial,
+        "serial": EvalConfig(executor=executor),
         "threads": EvalConfig(executor=executor, backend="threads",
                               max_workers=workers),
         "processes": EvalConfig(executor=executor, backend="processes",
@@ -150,7 +147,7 @@ def run_wide5(layers, repeats, workers):
     statistics.
     """
     variants = {
-        "wide5_seminaive_rows": (seminaive_closure, None),
+        "wide5_seminaive_rows": (seminaive_closure, EvalConfig(executor="rows")),
         "wide5_seminaive_batch": (seminaive_closure, EvalConfig(executor="batch")),
         "wide5_seminaive_interned": (
             seminaive_closure, EvalConfig(executor="batch", intern=True)),
@@ -158,7 +155,7 @@ def run_wide5(layers, repeats, workers):
             seminaive_closure,
             EvalConfig(executor="batch", intern=True, backend="processes",
                        max_workers=workers)),
-        "wide5_naive_rows": (naive_closure, None),
+        "wide5_naive_rows": (naive_closure, EvalConfig(executor="rows")),
         "wide5_naive_interned": (
             naive_closure, EvalConfig(executor="batch", intern=True)),
         "wide5_naive_rebuild": (

@@ -8,12 +8,13 @@ each program to fixpoint through four independent engines:
 
 * **interpreted** — the seed reference loop
   (:func:`repro.engine.reference.seminaive_closure_interpreted`);
-* **compiled** — the slot executor (``EvalConfig()`` default path);
+* **compiled** — the slot executor (``EvalConfig(executor="rows")``);
 * **batch** — the column-oriented executor
   (``EvalConfig(executor="batch")``);
 * **interned** — the batch executor's int specialisation over
   dictionary-encoded ids (``EvalConfig(executor="batch", intern=True)``,
-  which on this serial path runs the whole closure in packed-id space).
+  the default, which on this serial path runs the whole closure in
+  packed-id space).
 
 With ``--backend-seeds N``, the first ``N`` seeds of the range
 additionally sweep the **backend** axis: every executor runs on the
@@ -46,6 +47,18 @@ the reference signature; the per-run
 :class:`~repro.engine.statistics.HealthReport` (retries, pool rebuilds,
 degradations, segment churn) is aggregated and, with ``--health-file``,
 written out as a JSON artifact.
+
+With ``--phased-seeds N``, the first ``N`` seeds additionally fuzz the
+phased drivers under the default configuration: the program's rules
+(plus, on some seeds, a rule whose head constant lies outside the EDB,
+so a phase grows the packing base) are split into random phases and run
+through :func:`repro.engine.decomposed.decomposed_closure` and, with a
+random selection between the phases,
+:func:`repro.engine.separable.separable_evaluate`.  The result and
+every phase's derivation, duplicate and iteration counts must equal the
+interpreted reference run phase by phase.  The drivers do not check
+that the phases commute, so the reference is the same phase sequence,
+not the direct closure.
 
 With ``--ivm-seeds N``, the first ``N`` seeds additionally fuzz the
 incremental maintenance engine (:mod:`repro.ivm`): the generated
@@ -88,6 +101,9 @@ Usage::
     python benchmarks/fuzz_differential.py --query-seeds 25
                                                            # + magic-vs-reference
                                                            # query parity
+    python benchmarks/fuzz_differential.py --phased-seeds 25
+                                                           # + decomposed and
+                                                           # separable drivers
     python benchmarks/fuzz_differential.py --ivm-seeds 10  # + maintained-vs-
                                                            # recomputed parity
     python benchmarks/fuzz_differential.py --fault-seeds 5 \
@@ -112,7 +128,9 @@ from repro.datalog.atoms import Atom, Predicate  # noqa: E402
 from repro.datalog.parser import parse_rule  # noqa: E402
 from repro.datalog.programs import Program  # noqa: E402
 from repro.datalog.rules import Rule  # noqa: E402
-from repro.datalog.terms import Variable  # noqa: E402
+from repro.datalog.terms import Constant, Variable  # noqa: E402
+from repro.engine.decomposed import decomposed_closure  # noqa: E402
+from repro.engine.separable import separable_evaluate  # noqa: E402
 from repro.durability import DurableCoordinator  # noqa: E402
 from repro.engine.faults import CrashPlan, FaultPlan, SimulatedCrash  # noqa: E402
 from repro.engine.parallel import EvalConfig  # noqa: E402
@@ -126,6 +144,11 @@ from repro.ivm import MaterializedProgram  # noqa: E402
 from repro.query import Query, QueryEngine, magic_rewrite  # noqa: E402
 from repro.storage.database import Database  # noqa: E402
 from repro.storage.relation import Relation  # noqa: E402
+from repro.storage.selection import (  # noqa: E402
+    EqualitySelection,
+    PositionEqualitySelection,
+    Selection,
+)
 from repro.workloads.rulegen import (  # noqa: E402
     random_commuting_pair,
     random_restricted_rule,
@@ -199,7 +222,7 @@ def signature(relation: Relation, statistics: EvaluationStatistics):
 #: Serial configs for the query-parity leg (the backend axis is already
 #: fuzzed by the closure sweep; the query leg fuzzes the *rewrite*).
 _QUERY_CONFIGS: tuple[tuple[str, EvalConfig | None], ...] = (
-    ("rows", None),
+    ("rows", EvalConfig(executor="rows")),
     ("batch", EvalConfig(executor="batch")),
     ("interned", EvalConfig(executor="batch", intern=True)),
 )
@@ -259,7 +282,7 @@ def check_queries(rules: tuple[Rule, ...], database: Database,
 #: Serial executor configs the IVM leg steps in lockstep; maintenance
 #: must be bit-identical to recompute on each of them.
 _IVM_CONFIGS: tuple[tuple[str, EvalConfig | None], ...] = (
-    ("rows", None),
+    ("rows", EvalConfig(executor="rows")),
     ("batch", EvalConfig(executor="batch")),
     ("interned", EvalConfig(executor="batch", intern=True)),
 )
@@ -357,6 +380,107 @@ def check_ivm(rules: tuple[Rule, ...], database: Database,
                 f"!= {len(expected_rows)} expected"
             )
             return mismatches
+    return mismatches
+
+
+def _constant_head_rule(head: Predicate, value: int) -> Rule:
+    """``p(V0, .., c) :- p(V0, .., Vn)``: a linear rule with a head constant."""
+    variables = tuple(Variable(f"V{index}") for index in range(head.arity))
+    return Rule(Atom(head, (*variables[:-1], Constant(value))),
+                (Atom(head, variables),))
+
+
+def _random_selection(arity: int, rng: random.Random) -> Selection:
+    """σ[position = value], σ[left = right] or their conjunction."""
+    # Values up to 8 lie outside every generated EDB some of the time.
+    selection: Selection = EqualitySelection(rng.randrange(arity),
+                                             rng.randrange(9))
+    if arity >= 2 and rng.random() < 0.4:
+        left, right = rng.sample(range(arity), 2)
+        columns = PositionEqualitySelection(left, right)
+        selection = columns if rng.random() < 0.5 else selection.conjoin(columns)
+    return selection
+
+
+def _phase_signature(statistics: EvaluationStatistics) -> tuple:
+    return (statistics.derivations, statistics.duplicates,
+            statistics.iterations, statistics.initial_size,
+            statistics.result_size)
+
+
+def check_phased(rules: tuple[Rule, ...], database: Database,
+                 initial: Relation, rng: random.Random) -> list[str]:
+    """Decomposed and separable drivers (default config) vs the reference.
+
+    The rules are split into random phases; the reference runs the same
+    phases one after another through the interpreted loop, so the
+    comparison covers the result and each phase's Theorem-3.1 counts.
+    """
+    head = rules[0].head.predicate
+    pool = list(rules)
+    if len(pool) == 1 or rng.random() < 0.5:
+        # A constant no EDB holds: the phase running this rule grows
+        # the domain, so the packed hand-off is re-packed.
+        pool.append(_constant_head_rule(head, 100 + rng.randrange(3)))
+    rng.shuffle(pool)
+
+    def reference(phases: list[tuple[str, tuple[Rule, ...]]],
+                  start: Relation, between=None) -> tuple[Relation, dict]:
+        counts = {}
+        current = start
+        for index, (name, group) in enumerate(phases):
+            if index == 1 and between is not None:
+                current = between(current)
+            stats = EvaluationStatistics()
+            current = seminaive_closure_interpreted(
+                group, current, Database(dict(database.relations)), stats)
+            counts[name] = _phase_signature(stats)
+        return current, counts
+
+    mismatches: list[str] = []
+
+    def compare(label: str, relation: Relation,
+                statistics: EvaluationStatistics,
+                expected: tuple[Relation, dict]) -> None:
+        got = {name: _phase_signature(stats)
+               for name, stats in statistics.phases.items()}
+        if relation.rows != expected[0].rows or got != expected[1]:
+            mismatches.append(
+                f"{label}: result={len(relation)} phases={got} != reference "
+                f"result={len(expected[0])} phases={expected[1]}")
+
+    cuts = sorted(rng.sample(range(1, len(pool)),
+                             rng.randint(1, len(pool) - 1)))
+    groups = [tuple(pool[start:end])
+              for start, end in zip([0, *cuts], [*cuts, len(pool)])]
+    names = [f"phase-{index + 1}" for index in range(len(groups))]
+    statistics = EvaluationStatistics()
+    try:
+        relation = decomposed_closure(groups, initial,
+                                      Database(dict(database.relations)),
+                                      statistics)
+    except Exception as error:  # noqa: BLE001 - report, don't crash the sweep
+        return [f"decomposed raised {error!r}"]
+    # ``phase-i`` labels group ``i``; the last group (the rightmost
+    # closure) runs first.
+    compare(f"decomposed {len(groups)} phases", relation, statistics,
+            reference(list(reversed(list(zip(names, groups)))), initial))
+
+    cut = rng.randint(1, len(pool) - 1)
+    outer, inner = tuple(pool[:cut]), tuple(pool[cut:])
+    selection = _random_selection(head.arity, rng)
+    push = rng.random() < 0.5
+    statistics = EvaluationStatistics()
+    try:
+        relation = separable_evaluate(outer, inner, selection, initial,
+                                      Database(dict(database.relations)),
+                                      statistics, push_into_initial=push)
+    except Exception as error:  # noqa: BLE001
+        return mismatches + [f"separable raised {error!r}"]
+    phases = [("inner-closure", inner), ("outer-closure", outer)]
+    compare(f"separable {selection} push={push}", relation, statistics,
+            reference(phases, selection.apply(initial) if push else initial,
+                      None if push else selection.apply))
     return mismatches
 
 
@@ -553,6 +677,7 @@ def run_seed(seed: int, max_iterations: int,
              sweep_backends: bool = False,
              fault_sweep: bool = False,
              query_sweep: bool = False,
+             phased_sweep: bool = False,
              ivm_sweep: bool = False,
              wal_sweep: bool = False,
              health_sink: list | None = None) -> tuple[bool, str]:
@@ -573,7 +698,7 @@ def run_seed(seed: int, max_iterations: int,
     )
     outcomes = {"interpreted": signature(interpreted, interpreted_stats)}
     engines: list[tuple[str, EvalConfig | None]] = [
-        ("compiled", None),
+        ("compiled", EvalConfig(executor="rows")),
         ("batch", EvalConfig(executor="batch")),
         ("interned", EvalConfig(executor="batch", intern=True)),
     ]
@@ -603,6 +728,13 @@ def run_seed(seed: int, max_iterations: int,
         )
         if query_mismatches:
             return False, f"{description}\n    " + "; ".join(query_mismatches)
+
+    if phased_sweep:
+        # Its own generator: the legs after it draw what they drew before.
+        phased_mismatches = check_phased(rules, database, initial,
+                                         random.Random(f"phased:{seed}"))
+        if phased_mismatches:
+            return False, f"{description}\n    " + "; ".join(phased_mismatches)
 
     if ivm_sweep:
         ivm_mismatches = check_ivm(rules, database, initial, rng,
@@ -653,6 +785,15 @@ def main(argv=None) -> int:
                              "answers for random adornments match filtering "
                              "the reference closure, on every serial "
                              "executor (default 0: no query parity)")
+    parser.add_argument("--phased-seeds", type=int, default=0,
+                        help="additionally run, on the first N seeds of the "
+                             "range, the decomposed and separable drivers "
+                             "under the default configuration over a random "
+                             "split of the rules into phases, asserting the "
+                             "result and per-phase derivation/duplicate/"
+                             "iteration counts equal to the interpreted "
+                             "reference run phase by phase (default 0: no "
+                             "phased parity)")
     parser.add_argument("--ivm-seeds", type=int, default=0,
                         help="additionally step, on the first N seeds of the "
                              "range, one maintained materialisation per "
@@ -690,6 +831,7 @@ def main(argv=None) -> int:
         sweep = seed - args.base_seed < args.backend_seeds
         chaos = seed - args.base_seed < args.fault_seeds
         queries = seed - args.base_seed < args.query_seeds
+        phased = seed - args.base_seed < args.phased_seeds
         ivm = seed - args.base_seed < args.ivm_seeds
         wal = seed - args.base_seed < args.wal_seeds
         swept += sweep
@@ -697,6 +839,7 @@ def main(argv=None) -> int:
                                    sweep_backends=sweep,
                                    fault_sweep=chaos,
                                    query_sweep=queries,
+                                   phased_sweep=phased,
                                    ivm_sweep=ivm,
                                    wal_sweep=wal,
                                    health_sink=chaos_runs)
@@ -704,6 +847,7 @@ def main(argv=None) -> int:
             status = "ok  " if ok else "FAIL"
             matrix = " [executor x backend matrix]" if sweep else ""
             matrix += " [query parity]" if queries else ""
+            matrix += " [phased parity]" if phased else ""
             matrix += " [ivm parity]" if ivm else ""
             matrix += " [wal crash-recovery parity]" if wal else ""
             print(f"seed={seed:5d} {status} {description}{matrix}")
@@ -745,6 +889,11 @@ def main(argv=None) -> int:
         f"; executor x backend matrix on the first {swept}"
         if swept else ""
     )
+    phased_note = (
+        f"; decomposed/separable parity on the first "
+        f"{min(args.phased_seeds, args.seeds)}"
+        if args.phased_seeds else ""
+    )
     ivm_note = (
         f"; maintained-vs-recompute parity on the first "
         f"{min(args.ivm_seeds, args.seeds)}"
@@ -759,7 +908,7 @@ def main(argv=None) -> int:
         f"ok: {args.seeds} random programs agree across interpreted, "
         f"compiled, batch and interned executors "
         f"(seeds {args.base_seed}..{args.base_seed + args.seeds - 1}"
-        f"{matrix_note}{ivm_note}{wal_note})"
+        f"{matrix_note}{phased_note}{ivm_note}{wal_note})"
     )
     return 0
 

@@ -28,9 +28,9 @@ The engine provides:
   (``EvalConfig(executor="batch", intern=True)``);
 * :mod:`repro.engine.parallel` — batched per-iteration execution of the
   compiled plans under an :class:`~repro.engine.parallel.EvalConfig`
-  (executor ``rows``/``batch`` × backend ``serial``/``threads``/
-  ``processes``), with delta partitioning and statistics-preserving
-  merge;
+  (executor ``interned`` — the default — ``rows`` or ``batch`` ×
+  backend ``serial``/``threads``/``processes``), with delta
+  partitioning and statistics-preserving merge;
 * :mod:`repro.engine.supervision` — the fault-tolerance layer around the
   parallel backends: per-task deadlines and bounded retries, worker-pool
   rebuilds after crashes, and the graceful-degradation ladder

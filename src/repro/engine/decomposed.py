@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from repro.datalog.rules import Rule
-from repro.engine.parallel import EvalConfig
+from repro.engine.parallel import EvalConfig, decoded, packed_phase_input
 from repro.engine.seminaive import seminaive_closure
 from repro.engine.statistics import EvaluationStatistics
 from repro.storage.database import Database
@@ -36,14 +36,17 @@ def decomposed_closure(groups: Sequence[Iterable[Rule]], initial: Relation,
     first: ``B* C* Q`` computes ``C* Q`` and then applies ``B*``.
 
     Each phase contributes a labelled sub-statistics entry to
-    *statistics* (``phase-1`` is the first phase executed).  *config*
+    *statistics* (``phase-i`` labels ``groups[i-1]``, so with ``k``
+    groups ``phase-k`` is the first phase executed).  *config*
     (:class:`repro.engine.parallel.EvalConfig`) is forwarded to every
     phase's semi-naive closure, so the per-rule executor
-    (``rows``/``batch``, optionally interned via ``intern=True``) and
-    the scheduling backend apply to all phases; all phases share one
-    database and therefore one value-interning domain.  Interned
-    configurations run each phase as a packed-id closure on every
-    backend (shared-memory delta exchange on ``processes``).
+    (``rows``/``batch``/``interned``, the default) and the scheduling
+    backend apply to all phases; all phases share one database and
+    therefore one value-interning domain.  Interned configurations run
+    each phase as a packed-id closure on every backend (shared-memory
+    delta exchange on ``processes``) and hand each phase's packed
+    result straight to the next: the initial relation is interned once
+    and the final result decoded once.
     """
     statistics = statistics if statistics is not None else EvaluationStatistics()
     statistics.initial_size = len(initial)
@@ -57,7 +60,7 @@ def decomposed_closure(groups: Sequence[Iterable[Rule]], initial: Relation,
     if len(phase_names) != len(groups):
         raise ValueError("phase_names must have one entry per group")
 
-    current = initial
+    current = packed_phase_input(initial, database, config)
     # Apply the rightmost group first.
     execution_order = list(reversed(list(zip(groups, phase_names))))
     for group, name in execution_order:
@@ -66,7 +69,7 @@ def decomposed_closure(groups: Sequence[Iterable[Rule]], initial: Relation,
                                     config=config)
         statistics.add_phase(name, phase_stats)
     statistics.result_size = len(current)
-    return current
+    return decoded(current)
 
 
 def pairwise_decomposed_closure(first_group: Iterable[Rule], second_group: Iterable[Rule],

@@ -59,7 +59,9 @@ delta/EDB relations as column tuples and emits collapsed pairs directly.
 The **backend** (``serial`` | ``threads`` | ``processes``) selects where
 the batch of applications runs; the batch executor composes with every
 backend and with delta partitioning, because partitioning happens above
-the per-rule executor.
+the per-rule executor.  The default is ``interned`` (the batch
+executor's int specialisation) on ``serial``, which runs the packed-id
+closure described below.
 
 ``serial``
     Runs every plan in-process against the full overrides — byte-for-byte
@@ -107,12 +109,11 @@ from __future__ import annotations
 
 import os
 import threading
-import warnings
 from array import array
 from collections import Counter
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Container, Mapping, Optional, Sequence
+from typing import Any, Container, Mapping, Optional, Sequence, Union
 
 from repro.datalog.terms import Constant
 from repro.engine.faults import FaultPlan, apply_worker_fault
@@ -139,7 +140,6 @@ from repro.engine.statistics import (
 from repro.engine.supervision import Supervisor
 from repro.engine.vectorized import (
     InternedDeltaCache,
-    decode_packed_rows,
     execute_batch,
     execute_interned,
     execute_interned_into,
@@ -150,6 +150,7 @@ from repro.storage.database import Database
 from repro.storage.domain import (
     Domain,
     InternedRelation,
+    PackedRelation,
     unpack_packed_columns,
 )
 from repro.storage.relation import Relation, Row, RowSetBuilder
@@ -190,19 +191,15 @@ class EvalConfig:
       buckets, and heads are emitted as packed integers
       (:func:`repro.engine.vectorized.execute_interned`).
 
-    The default (``rows`` on ``serial``) is exactly the single-threaded
-    compiled path.  Result relations and derivation/duplicate statistics
-    are identical for every combination.
-
-    For compatibility with the pre-batch API, passing a backend name as
-    ``executor`` (e.g. ``EvalConfig(executor="threads")``) is accepted
-    and normalised to ``backend="threads", executor="rows"``; the
-    spelling ``executor="interned"`` normalises to
-    ``executor="batch", intern=True``.
+    The spelling ``executor="interned"`` normalises to
+    ``executor="batch", intern=True``.  It is the default: ``interned``
+    on ``serial``, the single-threaded packed-id closure
+    (:class:`PackedClosure`).  Result relations and derivation/duplicate
+    statistics are identical for every combination.
     """
 
-    #: One of :data:`EXECUTORS` (legacy: a :data:`BACKENDS` name).
-    executor: str = "rows"
+    #: One of :data:`EXECUTORS`, or ``"interned"`` (the default).
+    executor: str = "interned"
     #: One of :data:`BACKENDS`.
     backend: str = "serial"
     #: Worker count for the parallel backends; ``None`` means the CPU count.
@@ -213,7 +210,9 @@ class EvalConfig:
     #: Deltas smaller than this are never split (task overhead dominates).
     min_partition_rows: int = 2
     #: Run the batch executor on interned ids (requires ``executor="batch"``).
-    intern: bool = False
+    #: ``None`` follows the executor: ``True`` under ``"interned"`` (the
+    #: default), ``False`` otherwise.  Resolved to a bool on construction.
+    intern: Optional[bool] = None
     #: With ``intern``, maintain override views incrementally across
     #: iterations (columns and int indexes extended from new rows when
     #: the override's extension lineage allows).  ``False`` forces a
@@ -284,28 +283,18 @@ class EvalConfig:
     replan_ratio: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.executor in BACKENDS:
-            # Legacy spelling: EvalConfig(executor="threads") predates the
-            # rows/batch knob.  Normalise, refusing ambiguous mixes.
-            if self.backend != "serial":
-                raise ValueError(
-                    f"Backend given twice: executor={self.executor!r} is a "
-                    f"legacy backend name and backend={self.backend!r} is set"
-                )
-            warnings.warn(
-                f"EvalConfig(executor={self.executor!r}) is deprecated; "
-                f"use EvalConfig(backend={self.executor!r}) or "
-                f"EvalConfig.from_spec('rows-{self.executor}')",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(self, "backend", self.executor)
-            object.__setattr__(self, "executor", "rows")
         if self.executor == "interned":
             # Sugar: the int specialisation is a mode of the batch
             # executor, not a third pipeline.
+            if self.intern is False:
+                raise ValueError(
+                    "intern=False contradicts the interned executor (the "
+                    "default); pick executor='rows' or executor='batch'"
+                )
             object.__setattr__(self, "executor", "batch")
             object.__setattr__(self, "intern", True)
+        elif self.intern is None:
+            object.__setattr__(self, "intern", False)
         if self.executor not in EXECUTORS:
             raise ValueError(
                 f"Unknown executor {self.executor!r}; expected one of {EXECUTORS}"
@@ -317,7 +306,8 @@ class EvalConfig:
         if self.intern and self.executor != "batch":
             raise ValueError(
                 "intern=True requires the batch executor "
-                "(EvalConfig(executor='batch', intern=True))"
+                "(EvalConfig(executor='batch', intern=True)); to derive a "
+                "rows config from an interned one, pass intern=False too"
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
@@ -370,7 +360,7 @@ class EvalConfig:
             EvalConfig.from_spec("batch-threads")
             EvalConfig.from_spec("interned-costed")
             EvalConfig.from_spec("processes-adaptive")
-            EvalConfig.from_spec("processes")        # rows executor
+            EvalConfig.from_spec("processes")        # interned executor
             EvalConfig.from_spec("interned")
             EvalConfig.from_spec("")                 # the default config
 
@@ -452,6 +442,16 @@ class EvalConfig:
         """True if the batch executor runs its int specialisation."""
         return self.intern
 
+    def runs_packed(self) -> bool:
+        """True if the fixpoint drivers run :class:`PackedClosure`.
+
+        Interned execution does on every backend, except ``processes``
+        with ``shared_memory=False`` (the pickled exchange decodes at
+        the evaluator boundary every iteration).
+        """
+        return self.intern and (self.backend != "processes"
+                                or self.shared_memory)
+
     def mode(self) -> str:
         """The per-rule execution mode: ``rows``, ``batch`` or ``interned``."""
         if self.intern:
@@ -471,7 +471,7 @@ class EvalConfig:
         return self.resolved_workers()
 
 
-#: The default configuration: the serial compiled path.
+#: The default configuration: the serial packed-id (interned) closure.
 SERIAL_CONFIG = EvalConfig()
 
 
@@ -1275,23 +1275,23 @@ class ParallelEvaluator:
             collapsed.extend(task_pairs)
         return collapsed
 
-    def packed_closure(self, initial: Relation) -> Optional["PackedClosure"]:
+    def packed_closure(self, initial: Union[Relation, PackedRelation]
+                       ) -> Optional["PackedClosure"]:
         """A packed-id-space closure, when this configuration supports one.
 
-        Interned execution qualifies on *every* backend: the drivers
-        keep the whole fixpoint in packed integers and decode once at
-        the end.  On ``threads`` the workers share the parent's packed
-        accumulator through a striped sink; on ``processes`` deltas and
-        results cross the worker boundary as flat id buffers in
+        Interned execution qualifies on *every* backend
+        (:meth:`EvalConfig.runs_packed`): the drivers keep the whole
+        fixpoint in packed integers and decode once at the end.  On
+        ``threads`` the workers share the parent's packed accumulator
+        through a striped sink; on ``processes`` deltas and results
+        cross the worker boundary as flat id buffers in
         ``multiprocessing.shared_memory`` segments.  The only exception
         is ``processes`` with ``shared_memory=False`` — the escape hatch
         back to the PR-4 pickled exchange, which decodes per iteration
         at the evaluator boundary — where the drivers fall back to the
         value-space loop.
         """
-        if not self.config.interned():
-            return None
-        if self.config.backend == "processes" and not self.config.shared_memory:
+        if not self.config.runs_packed():
             return None
         return PackedClosure(self, initial)
 
@@ -1391,10 +1391,13 @@ class PackedClosure:
 
     The packing base is frozen at construction, after interning the full
     EDB, the program constants and the initial relation — every value a
-    derivation can produce.
+    derivation can produce.  A :class:`PackedRelation` initial (the
+    previous phase's result in a phased driver) is taken as packed ids,
+    re-packed arithmetically when the domain has grown since.
     """
 
-    def __init__(self, evaluator: "ParallelEvaluator", initial: Relation):
+    def __init__(self, evaluator: "ParallelEvaluator",
+                 initial: Union[Relation, PackedRelation]):
         database = evaluator.database
         self.database = database
         self.plans = evaluator.plans
@@ -1407,20 +1410,16 @@ class PackedClosure:
         self.domain = domain
         database.intern_all()
         intern_program_constants(self.plans, domain)
-        intern_row = domain.intern_row
-        id_rows = [intern_row(row) for row in initial.rows]
+        if not isinstance(initial, PackedRelation):
+            initial = PackedRelation.from_relation(initial, domain)
+        elif initial.domain is not domain:
+            initial = PackedRelation.from_relation(initial.decode(), domain)
         self.name = initial.name
         self.arity = initial.arity
         base = max(1, len(domain))
         self.base_k = base
-        known = set()
-        for ids in id_rows:
-            packed = 0
-            for ident in ids:
-                packed = packed * base + ident
-            known.add(packed)
-        self.known: set[int] = known
-        self._delta_packed: set[int] = set(known)
+        self.known: set[int] = initial.rebased(base)
+        self._delta_packed: set[int] = set(self.known)
         self._deltas = InternedDeltaCache(domain)
         self._total_view: Optional[InternedRelation] = None
         #: Per-plan grouped-join specialisation — the two-scan binary
@@ -1847,11 +1846,37 @@ class PackedClosure:
                         fast.build_groups(fresh, self.base_k, groups)
         return len(fresh)
 
+    def packed(self) -> PackedRelation:
+        """The accumulated rows, still packed (shares the closure's set)."""
+        return PackedRelation(self.name, self.arity, self.known, self.base_k,
+                              self.domain)
+
     def freeze(self) -> Relation:
         """Decode the accumulated packed rows into a relation (once)."""
-        rows = decode_packed_rows(self.known, self.base_k, self.arity,
-                                  self.domain)
-        return Relation.from_canonical(self.name, self.arity, rows)
+        return self.packed().decode()
+
+
+def packed_phase_input(relation: Relation, database: Database,
+                       config: Optional[EvalConfig]
+                       ) -> Union[Relation, PackedRelation]:
+    """A phased driver's initial relation, packed when its phases run packed.
+
+    The decomposed and separable drivers pack their initial relation
+    once, after interning the EDB (so the first phase keeps the base),
+    and hand each phase's :class:`PackedRelation` result to the next;
+    :func:`decoded` turns the last phase's result back into values.
+    """
+    if not (config if config is not None else SERIAL_CONFIG).runs_packed():
+        return relation
+    database.intern_all()
+    return PackedRelation.from_relation(relation, database.domain())
+
+
+def decoded(relation: Union[Relation, PackedRelation]) -> Relation:
+    """*relation* in value space (decoding a packed hand-off)."""
+    if isinstance(relation, PackedRelation):
+        return relation.decode()
+    return relation
 
 
 def record_collapsed_productions(pairs: Sequence[tuple[Row, int]],

@@ -13,11 +13,12 @@ to obtain the initial relation ``Q``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union, overload
 
 from repro.datalog.programs import LinearRecursion
 from repro.datalog.rules import Rule
 from repro.engine.parallel import (
+    SERIAL_CONFIG,
     EvalConfig,
     ParallelEvaluator,
     record_collapsed_productions,
@@ -28,13 +29,29 @@ from repro.engine.vectorized import execute_batch, execute_interned
 from repro.exceptions import EvaluationError
 from repro.planner.program import plan_program
 from repro.storage.database import Database
+from repro.storage.domain import PackedRelation
 from repro.storage.relation import Relation, RowSetBuilder
 
 
+# A closure's result has the form of its initial relation.
+@overload
 def seminaive_closure(rules: Iterable[Rule], initial: Relation, database: Database,
+                      statistics: Optional[EvaluationStatistics] = ...,
+                      max_iterations: int = ...,
+                      config: Optional[EvalConfig] = ...) -> Relation: ...
+@overload
+def seminaive_closure(rules: Iterable[Rule], initial: PackedRelation,
+                      database: Database,
+                      statistics: Optional[EvaluationStatistics] = ...,
+                      max_iterations: int = ...,
+                      config: Optional[EvalConfig] = ...) -> PackedRelation: ...
+def seminaive_closure(rules: Iterable[Rule],
+                      initial: Union[Relation, PackedRelation],
+                      database: Database,
                       statistics: Optional[EvaluationStatistics] = None,
                       max_iterations: int = 100_000,
-                      config: Optional[EvalConfig] = None) -> Relation:
+                      config: Optional[EvalConfig] = None
+                      ) -> Union[Relation, PackedRelation]:
     """Compute ``(Σ A_i)* initial`` by semi-naive iteration.
 
     Every successful derivation is recorded in *statistics*; a derivation
@@ -49,11 +66,18 @@ def seminaive_closure(rules: Iterable[Rule], initial: Relation, database: Databa
     iteration costs ``O(|delta|)`` set maintenance, not ``O(|total|)``.
 
     *config* (:class:`repro.engine.parallel.EvalConfig`) selects both
-    the per-rule executor — ``rows`` (slot-at-a-time) or ``batch``
-    (column-oriented, :mod:`repro.engine.vectorized`) — and the backend
-    each iteration's rule batch is scheduled on; the default is the
-    serial row-at-a-time compiled path.  Result relations and
-    derivation/duplicate statistics are identical for every combination.
+    the per-rule executor — ``rows`` (slot-at-a-time), ``batch``
+    (column-oriented, :mod:`repro.engine.vectorized`) or ``interned``
+    (batch on packed ids) — and the backend each iteration's rule batch
+    is scheduled on; the default is ``interned`` on ``serial``, the
+    packed-id closure (:class:`~repro.engine.parallel.PackedClosure`).
+    Result relations and derivation/duplicate statistics are identical
+    for every combination.
+
+    A :class:`~repro.storage.domain.PackedRelation` *initial* (the
+    hand-off between phases of the decomposed and separable drivers,
+    under a configuration that runs packed) yields a packed result,
+    left for the caller to decode.
     """
     rules = tuple(rules)
     statistics = statistics if statistics is not None else EvaluationStatistics()
@@ -103,10 +127,15 @@ def seminaive_closure(rules: Iterable[Rule], initial: Relation, database: Databa
                     f"Semi-naive evaluation did not converge within "
                     f"{max_iterations} iterations"
                 )
-            total = packed.freeze()
-            statistics.result_size = len(total)
+            result = packed.packed()
+            statistics.result_size = len(result)
             session.finish(statistics)
-            return total
+            return result if isinstance(initial, PackedRelation) else result.decode()
+        if isinstance(initial, PackedRelation):
+            raise EvaluationError(
+                f"A packed initial relation needs a configuration that runs "
+                f"packed closures, not {evaluator.config.spec()!r}"
+            )
         builder = RowSetBuilder(predicate_name, initial.arity, initial.rows)
         delta = initial
         while delta.rows and iterations < max_iterations:
@@ -134,13 +163,13 @@ def evaluate_exit_rules(recursion: LinearRecursion, database: Database,
                         config: Optional[EvalConfig] = None) -> Relation:
     """Evaluate the exit (nonrecursive) rules to obtain the initial relation Q.
 
-    When *config* selects the batch executor, the exit rules run
-    column-at-a-time as well; emissions and join counters are identical
-    either way.
+    The exit rules run on the executor *config* selects (``interned``
+    by default); emissions and join counters are identical on every
+    executor.
     """
     statistics = statistics if statistics is not None else EvaluationStatistics()
     builder = RowSetBuilder(recursion.predicate.name, recursion.arity)
-    mode = config.mode() if config is not None else "rows"
+    mode = (config if config is not None else SERIAL_CONFIG).mode()
     for rule in recursion.exit_rules:
         statistics.rule_applications += 1
         plan = compile_rule(rule, database)
@@ -164,9 +193,9 @@ def solve_linear_recursion(recursion: LinearRecursion, database: Database,
 
     The exit rules produce ``Q``; the recursive rules are then iterated
     with semi-naive evaluation.  *config* selects both the per-rule
-    executor (``rows``/``batch``) and the scheduling backend for every
-    phase.  Returns the minimal model restricted to the recursive
-    predicate.
+    executor (``rows``/``batch``/``interned``, the default) and the
+    scheduling backend for every phase.  Returns the minimal model
+    restricted to the recursive predicate.
     """
     statistics = statistics if statistics is not None else EvaluationStatistics()
     initial = evaluate_exit_rules(recursion, database, statistics, config=config)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.datalog.rules import Rule
-from repro.engine.parallel import EvalConfig
+from repro.engine.parallel import EvalConfig, decoded, packed_phase_input
 from repro.engine.seminaive import seminaive_closure
 from repro.engine.statistics import EvaluationStatistics
 from repro.storage.database import Database
@@ -46,10 +46,13 @@ def separable_evaluate(outer_rules: Iterable[Rule], inner_rules: Iterable[Rule],
 
     *config* (:class:`repro.engine.parallel.EvalConfig`) is forwarded to
     both phases' semi-naive closures, so the per-rule executor
-    (``rows``/``batch``, optionally interned via ``intern=True``) and
-    the scheduling backend apply to both phases; interned configurations
-    run each phase as a packed-id closure on every backend
-    (shared-memory delta exchange on ``processes``).
+    (``rows``/``batch``/``interned``, the default) and the scheduling
+    backend apply to both phases.  Interned configurations run each
+    phase as a packed-id closure on every backend (shared-memory delta
+    exchange on ``processes``) and keep the hand-off packed: the
+    selection between the phases tests packed ids
+    (:meth:`repro.storage.selection.Selection.packed_test`) and the
+    result is decoded once, at the end.
     """
     statistics = statistics if statistics is not None else EvaluationStatistics()
     statistics.initial_size = len(initial)
@@ -59,15 +62,12 @@ def separable_evaluate(outer_rules: Iterable[Rule], inner_rules: Iterable[Rule],
     # Both phases' closures compile their rules on entry (plans are cached
     # by rule value) and share the one database's EDB index cache.
     inner_stats = EvaluationStatistics()
-    if push_into_initial:
-        seeded = selection.apply(initial)
-        inner_result = seminaive_closure(inner_rules, seeded, database, inner_stats,
-                                         config=config)
-        selected = inner_result
-    else:
-        inner_result = seminaive_closure(inner_rules, initial, database, inner_stats,
-                                         config=config)
-        selected = selection.apply(inner_result)
+    seeded = selection.apply(initial) if push_into_initial else initial
+    inner_result = seminaive_closure(
+        inner_rules, packed_phase_input(seeded, database, config), database,
+        inner_stats, config=config)
+    selected = (inner_result if push_into_initial
+                else selection.apply(inner_result))
     statistics.add_phase("inner-closure", inner_stats)
 
     outer_stats = EvaluationStatistics()
@@ -76,7 +76,7 @@ def separable_evaluate(outer_rules: Iterable[Rule], inner_rules: Iterable[Rule],
     statistics.add_phase("outer-closure", outer_stats)
 
     statistics.result_size = len(result)
-    return result
+    return decoded(result)
 
 
 def direct_selection_evaluate(rules: Iterable[Rule], selection: Selection,

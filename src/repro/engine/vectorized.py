@@ -773,28 +773,6 @@ def decode_packed_pairs(pairs: list[tuple[int, int]], width_k: int,
     return decoded
 
 
-def decode_packed_rows(packed_rows: Any, width_k: int, arity: int,
-                       domain: Domain) -> frozenset[Row]:
-    """A set of packed ints back to a frozenset of value rows."""
-    values = domain.values_view()
-    if arity == 2:
-        return frozenset(
-            [(values[packed // width_k], values[packed % width_k])
-             for packed in packed_rows]
-        )
-    if arity == 1:
-        return frozenset([(values[packed],) for packed in packed_rows])
-    if arity == 0:
-        return frozenset(() for _ in packed_rows)
-    rows = []
-    ids = [0] * arity
-    for packed in packed_rows:
-        for i in range(arity - 1, -1, -1):
-            packed, ids[i] = divmod(packed, width_k)
-        rows.append(tuple(values[ident] for ident in ids))
-    return frozenset(rows)
-
-
 def execute_interned_packed(plan: CompiledRule, database: Database,
                             overrides: Optional[Mapping[str, Union[Relation, InternedRelation]]] = None,
                             counters: Optional[JoinCounters] = None,

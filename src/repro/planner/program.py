@@ -24,7 +24,7 @@ while biasing the order search (:mod:`repro.planner.search`).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Union
 
 from repro.datalog.rules import Rule
 from repro.engine.parallel import PLANNERS
@@ -38,6 +38,7 @@ from repro.planner.catalog import CATALOG
 from repro.planner.cost import ProfileSource, estimate_order
 from repro.planner.search import costed_body_order
 from repro.storage.database import Database
+from repro.storage.domain import PackedRelation
 from repro.storage.relation import Relation
 
 class PlannerSession:
@@ -82,7 +83,8 @@ class PlannerSession:
 
 def plan_program(rules: Iterable[Rule], database: Database,
                  config: Any, statistics: EvaluationStatistics,
-                 initial: Optional[Relation] = None) -> PlannerSession:
+                 initial: Union[Relation, PackedRelation, None] = None
+                 ) -> PlannerSession:
     """Plan *rules* under ``config.planner`` and attach the report.
 
     *initial* sizes the recursive predicate for the cold cost model (the

@@ -10,7 +10,7 @@ is equivalent to equality of values (the mapping is injective), so
 results, derivation/duplicate counts, and join counters are exactly
 those of the value-level executors.
 
-Three pieces live here:
+Four pieces live here:
 
 :class:`Domain`
     A per-:class:`~repro.storage.database.Database` interner: an
@@ -35,6 +35,12 @@ Three pieces live here:
     rows — the pre-projected bind/check/head positions — so the probe
     loop never touches whole rows.  Indexes support the same
     incremental append path as the columns they are built over.
+
+:class:`PackedRelation`
+    A relation as a set of *packed* rows: each row's ids folded into
+    one ``int`` in base ``base``.  The packed closure accumulates its
+    result in this form, and phased drivers hand it from one phase to
+    the next, so rows are interned once and decoded once per driver.
 """
 
 from __future__ import annotations
@@ -324,6 +330,98 @@ def unpack_packed_columns(packed_rows: Iterable[int], base: int,
             packed, ident = divmod(packed, base)
             columns[position].append(ident)
     return columns
+
+
+class PackedRelation:
+    """A relation held as packed rows over a :class:`Domain`'s ids.
+
+    Row ``(v_0, .., v_{n-1})`` is the int ``sum(id(v_i) * base**(n-1-i))``;
+    *base* is at least the domain size at packing time, so packing is
+    injective.  This is the packed closure's result form and the
+    hand-off between the phases of the decomposed and separable
+    drivers: each phase starts from the previous phase's packed rows,
+    re-packed arithmetically (:meth:`rebased`) when the domain grew in
+    between, so the driver interns rows once and decodes once.
+    """
+
+    __slots__ = ("name", "arity", "rows", "base", "domain")
+
+    def __init__(self, name: str, arity: int, rows: set[int], base: int,
+                 domain: Domain):
+        self.name = name
+        self.arity = arity
+        self.rows = rows
+        self.base = base
+        self.domain = domain
+
+    @classmethod
+    def from_relation(cls, relation: Relation, domain: Domain) -> "PackedRelation":
+        """Intern every row of *relation* and pack it (base = domain size)."""
+        rows = relation.rows
+        arity = relation.arity
+        ids = domain._ids
+        for value in {value for row in rows for value in row}:
+            if value not in ids:
+                domain.intern(value)
+        base = max(1, len(domain))
+        if arity == 2:
+            packed = {ids[left] * base + ids[right] for left, right in rows}
+        elif arity == 1:
+            packed = {ids[value] for (value,) in rows}
+        else:
+            packed = set()
+            for row in rows:
+                folded = 0
+                for value in row:
+                    folded = folded * base + ids[value]
+                packed.add(folded)
+        return cls(relation.name, arity, packed, base, domain)
+
+    def rebased(self, base: int) -> set[int]:
+        """The rows re-packed in *base* (``>= self.base``), as a new set."""
+        old = self.base
+        if base == old or self.arity < 2:
+            return set(self.rows)
+        if self.arity == 2:
+            return {packed // old * base + packed % old for packed in self.rows}
+        columns = unpack_packed_columns(self.rows, old, self.arity)
+        rebased: set[int] = set()
+        for ids in zip(*columns):
+            folded = 0
+            for ident in ids:
+                folded = folded * base + ident
+            rebased.add(folded)
+        return rebased
+
+    def filter(self, test: Any) -> "PackedRelation":
+        """The packed rows satisfying *test* (a predicate on packed ints)."""
+        return PackedRelation(self.name, self.arity,
+                              {packed for packed in self.rows if test(packed)},
+                              self.base, self.domain)
+
+    def decode(self) -> Relation:
+        """Decode back to a value-space relation."""
+        values = self.domain.values_view()
+        base, arity = self.base, self.arity
+        rows: frozenset[Row]
+        if arity == 2:
+            rows = frozenset([(values[packed // base], values[packed % base])
+                              for packed in self.rows])
+        elif arity == 1:
+            rows = frozenset([(values[packed],) for packed in self.rows])
+        elif arity == 0:
+            rows = frozenset(() for _ in self.rows)
+        else:
+            columns = unpack_packed_columns(self.rows, base, arity)
+            rows = frozenset(tuple(values[ident] for ident in ids)
+                             for ids in zip(*columns))
+        return Relation.from_canonical(self.name, arity, rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __str__(self) -> str:  # pragma: no cover - trivial
+        return f"PackedRelation({self.name}/{self.arity}, {len(self.rows)} rows)"
 
 
 #: An interned index key: a raw id for single-column keys, a tuple of

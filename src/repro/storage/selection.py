@@ -17,9 +17,18 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Union, overload
 
+from repro.storage.domain import Domain, PackedRelation
 from repro.storage.relation import Relation, Row
+
+#: A test on one packed row (see :class:`~repro.storage.domain.PackedRelation`).
+PackedTest = Callable[[int], bool]
+
+
+def _digit_weight(position: int, arity: int, base: int) -> int:
+    """The place value of *position* in a row packed in *base*."""
+    return base ** (arity - 1 - position)
 
 
 class Selection(ABC):
@@ -33,8 +42,31 @@ class Selection(ABC):
     def positions(self) -> frozenset[int]:
         """Argument positions the selection constrains."""
 
-    def apply(self, relation: Relation) -> Relation:
-        """Filter *relation* to the rows satisfying this selection."""
+    def packed_test(self, arity: int, base: int, domain: Domain) -> PackedTest:
+        """This selection as a test on rows packed in *base* over *domain*.
+
+        The fallback decodes each row and calls :meth:`matches`;
+        :class:`EqualitySelection` compares ids directly.
+        """
+        values = domain.values_view()
+        matches = self.matches
+        weights = [_digit_weight(p, arity, base) for p in range(arity)]
+
+        def test(packed: int) -> bool:
+            return matches(tuple(values[packed // weight % base]
+                                 for weight in weights))
+        return test
+
+    @overload
+    def apply(self, relation: Relation) -> Relation: ...
+    @overload
+    def apply(self, relation: PackedRelation) -> PackedRelation: ...
+    def apply(self, relation: Union[Relation, PackedRelation]
+              ) -> Union[Relation, PackedRelation]:
+        """Filter *relation* (value rows or packed ids) to the matching rows."""
+        if isinstance(relation, PackedRelation):
+            return relation.filter(self.packed_test(
+                relation.arity, relation.base, relation.domain))
         return relation.filter(self.matches)
 
     def conjoin(self, other: "Selection") -> "Selection":
@@ -57,6 +89,14 @@ class EqualitySelection(Selection):
 
     def positions(self) -> frozenset[int]:
         return frozenset({self.position})
+
+    def packed_test(self, arity: int, base: int, domain: Domain) -> PackedTest:
+        if self.value not in domain:
+            # No packed row can hold a value the domain never interned.
+            return lambda packed: False
+        ident = domain.intern(self.value)
+        weight = _digit_weight(self.position, arity, base)
+        return lambda packed: packed // weight % base == ident
 
     def __str__(self) -> str:
         return f"σ[{self.position} = {self.value!r}]"

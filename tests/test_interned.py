@@ -11,6 +11,7 @@ pipeline.
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 from array import array
 
 import pytest
@@ -39,6 +40,11 @@ from repro.storage.database import Database
 from repro.storage.domain import Domain, IntIndex, InternedRelation
 from repro.storage.relation import Relation
 from repro.storage.selection import EqualitySelection
+
+
+#: The row-at-a-time executor, pinned explicitly: the parity tests below
+#: compare every other executor against it, not against the default.
+ROWS_CONFIG = EvalConfig(executor="rows")
 
 
 def interned_config(backend: str = "serial",
@@ -396,7 +402,7 @@ class TestExecutorParity:
 class TestDriverParity:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_serial_interned_matches_rows_exactly(self, scenario):
-        rows_rel, rows_stats = run_seminaive(scenario, None)
+        rows_rel, rows_stats = run_seminaive(scenario, ROWS_CONFIG)
         interned_rel, interned_stats = run_seminaive(scenario,
                                                      interned_config())
         assert interned_rel.rows == rows_rel.rows
@@ -406,7 +412,7 @@ class TestDriverParity:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_interned_composes_with_parallel_backends(self, scenario, backend):
-        rows_rel, rows_stats = run_seminaive(scenario, None)
+        rows_rel, rows_stats = run_seminaive(scenario, ROWS_CONFIG)
         interned_rel, interned_stats = run_seminaive(
             scenario, interned_config(backend)
         )
@@ -444,7 +450,7 @@ class TestDriverParity:
             )
             return relation, statistics
 
-        rows_rel, rows_stats = run(None)
+        rows_rel, rows_stats = run(ROWS_CONFIG)
         for config in (interned_config(), interned_config(incremental=False)):
             interned_rel, interned_stats = run(config)
             assert interned_rel.rows == rows_rel.rows
@@ -464,7 +470,7 @@ class TestDriverParity:
             )
             return relation, statistics
 
-        rows_rel, rows_stats = run(None)
+        rows_rel, rows_stats = run(ROWS_CONFIG)
         interned_rel, interned_stats = run(interned_config())
         assert interned_rel.rows == rows_rel.rows
         assert interned_stats.as_dict() == rows_stats.as_dict()
@@ -484,7 +490,7 @@ class TestDriverParity:
             )
             return relation, statistics
 
-        rows_rel, rows_stats = run(None)
+        rows_rel, rows_stats = run(ROWS_CONFIG)
         interned_rel, interned_stats = run(interned_config())
         assert interned_rel.rows == rows_rel.rows
         assert interned_stats.as_dict() == rows_stats.as_dict()
@@ -508,7 +514,7 @@ class TestDriverParity:
             )
             return relation, statistics
 
-        rows_rel, rows_stats = run(None)
+        rows_rel, rows_stats = run(ROWS_CONFIG)
         interned_rel, interned_stats = run(interned_config())
         assert interned_rel.rows == rows_rel.rows
         assert interned_stats.as_dict() == rows_stats.as_dict()
@@ -530,7 +536,7 @@ class TestDriverParity:
             )
             return relation, statistics
 
-        rows_rel, rows_stats = run(None)
+        rows_rel, rows_stats = run(ROWS_CONFIG)
         interned_rel, interned_stats = run(interned_config())
         assert interned_rel.rows == rows_rel.rows
         assert full_signature(interned_stats) == full_signature(rows_stats)
@@ -549,7 +555,7 @@ class TestDriverParity:
             )
             return relation, statistics
 
-        rows_rel, rows_stats = run(None)
+        rows_rel, rows_stats = run(ROWS_CONFIG)
         interned_rel, interned_stats = run(interned_config())
         assert interned_rel.rows == rows_rel.rows
         assert full_signature(interned_stats) == full_signature(rows_stats)
@@ -591,12 +597,25 @@ class TestPackedBinaryJoin:
 class TestEvalConfigIntern:
     def test_defaults(self):
         config = EvalConfig()
-        assert not config.interned()
-        assert config.mode() == "rows"
+        assert config.interned()
+        assert config.mode() == "interned"
 
     def test_intern_requires_batch(self):
         with pytest.raises(ValueError, match="batch"):
             EvalConfig(executor="rows", intern=True)
+
+    def test_explicit_intern_false_rejected_with_default_executor(self):
+        """intern=False never silently yields an interned config."""
+        with pytest.raises(ValueError, match="intern=False"):
+            EvalConfig(intern=False)
+        assert EvalConfig(executor="batch", intern=False).mode() == "batch"
+        assert not EvalConfig(executor="rows").intern
+
+    def test_replace_to_rows_needs_intern_false(self):
+        with pytest.raises(ValueError, match="intern=False"):
+            replace(EvalConfig(), executor="rows")
+        config = replace(EvalConfig(), executor="rows", intern=False)
+        assert config.mode() == "rows"
 
     def test_interned_sugar_normalises(self):
         config = EvalConfig(executor="interned")

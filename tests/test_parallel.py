@@ -36,6 +36,11 @@ from repro.workloads.wide import wide_multirule_workload
 BACKENDS = ["serial", "threads", "processes"]
 
 
+#: The row-at-a-time executor, pinned explicitly: the parity tests below
+#: compare every other executor against it, not against the default.
+ROWS_CONFIG = EvalConfig(executor="rows")
+
+
 def config_for(backend: str) -> EvalConfig | None:
     if backend == "serial":
         return None
@@ -143,7 +148,7 @@ class TestBackendParity:
             )
             return relation, stats
 
-        serial_rel, serial_stats = run(None)
+        serial_rel, serial_stats = run(ROWS_CONFIG)
         parallel_rel, parallel_stats = run(config_for(backend))
         assert parallel_rel.rows == serial_rel.rows
         assert stats_signature(parallel_stats) == stats_signature(serial_stats)
@@ -162,7 +167,7 @@ class TestBackendParity:
             )
             return relation, stats
 
-        serial_rel, serial_stats = run(None)
+        serial_rel, serial_stats = run(ROWS_CONFIG)
         threads_rel, threads_stats = run(config_for("threads"))
         assert threads_rel.rows == serial_rel.rows
         assert stats_signature(threads_stats) == stats_signature(serial_stats)
@@ -183,7 +188,7 @@ class TestBackendParity:
             )
             return relation, stats
 
-        serial_rel, serial_stats = run(None)
+        serial_rel, serial_stats = run(ROWS_CONFIG)
         threads_rel, threads_stats = run(config_for("threads"))
         assert threads_rel.rows == serial_rel.rows
         assert stats_signature(threads_stats) == stats_signature(serial_stats)

@@ -610,10 +610,10 @@ class TestSolveApi:
             solve(program, self.DATABASE, predicate="nope")
 
     @pytest.mark.parametrize("spec,mode,backend", [
-        ("", "rows", "serial"),
+        ("", "interned", "serial"),
         ("batch", "batch", "serial"),
         ("interned", "interned", "serial"),
-        ("threads", "rows", "threads"),
+        ("threads", "interned", "threads"),
         ("interned-processes", "interned", "processes"),
         ("processes-batch", "batch", "processes"),
     ])

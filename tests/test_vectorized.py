@@ -29,6 +29,11 @@ from repro.storage.relation import Relation
 from repro.storage.selection import EqualitySelection
 
 
+#: The row-at-a-time executor, pinned explicitly: the parity tests below
+#: compare every other executor against it, not against the default.
+ROWS_CONFIG = EvalConfig(executor="rows")
+
+
 def batch_config(backend: str = "serial") -> EvalConfig:
     if backend == "serial":
         return EvalConfig(executor="batch")
@@ -59,7 +64,7 @@ def full_signature(statistics: EvaluationStatistics):
 class TestBatchParity:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_serial_batch_matches_rows_exactly(self, scenario):
-        rows_rel, rows_stats = run_seminaive(scenario, None)
+        rows_rel, rows_stats = run_seminaive(scenario, ROWS_CONFIG)
         batch_rel, batch_stats = run_seminaive(scenario, batch_config())
         assert batch_rel.rows == rows_rel.rows
         # Bit-identical statistics, probe counters included.
@@ -69,7 +74,7 @@ class TestBatchParity:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_batch_composes_with_parallel_backends(self, scenario, backend):
-        rows_rel, rows_stats = run_seminaive(scenario, None)
+        rows_rel, rows_stats = run_seminaive(scenario, ROWS_CONFIG)
         batch_rel, batch_stats = run_seminaive(scenario, batch_config(backend))
         assert batch_rel.rows == rows_rel.rows
         assert stats_signature(batch_stats) == stats_signature(rows_stats)
@@ -101,7 +106,7 @@ class TestDriverRoundTrip:
             )
             return relation, stats
 
-        rows_rel, rows_stats = run(None)
+        rows_rel, rows_stats = run(ROWS_CONFIG)
         batch_rel, batch_stats = run(batch_config())
         assert batch_rel.rows == rows_rel.rows
         assert batch_stats.as_dict() == rows_stats.as_dict()
@@ -120,7 +125,7 @@ class TestDriverRoundTrip:
             )
             return relation, stats
 
-        rows_rel, rows_stats = run(None)
+        rows_rel, rows_stats = run(ROWS_CONFIG)
         batch_rel, batch_stats = run(batch_config())
         assert batch_rel.rows == rows_rel.rows
         assert batch_stats.as_dict() == rows_stats.as_dict()
@@ -141,7 +146,7 @@ class TestDriverRoundTrip:
             )
             return relation, stats
 
-        rows_rel, rows_stats = run(None)
+        rows_rel, rows_stats = run(ROWS_CONFIG)
         batch_rel, batch_stats = run(batch_config())
         assert batch_rel.rows == rows_rel.rows
         assert batch_stats.as_dict() == rows_stats.as_dict()
@@ -165,7 +170,7 @@ class TestDriverRoundTrip:
             )
             return relation, stats
 
-        rows_rel, rows_stats = run(None)
+        rows_rel, rows_stats = run(ROWS_CONFIG)
         batch_rel, batch_stats = run(batch_config())
         assert batch_rel.rows == rows_rel.rows
         assert batch_stats.as_dict() == rows_stats.as_dict()
@@ -336,9 +341,10 @@ class TestEvalConfigExecutor:
 
     def test_defaults(self):
         config = EvalConfig()
-        assert config.executor == "rows"
+        assert config.executor == "batch"
+        assert config.interned()
         assert config.backend == "serial"
-        assert not config.batched()
+        assert config.batched()
         assert not config.is_parallel()
 
     def test_batch_executor_accepted(self):
@@ -352,21 +358,11 @@ class TestEvalConfigExecutor:
         with pytest.raises(ValueError):
             EvalConfig(backend="gpu")
 
-    def test_legacy_backend_as_executor_normalised(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            config = EvalConfig(executor="threads", max_workers=2)
-        assert config.backend == "threads"
-        assert config.executor == "rows"
-        assert config.is_parallel()
-
-    def test_ambiguous_legacy_mix_rejected(self):
-        with pytest.raises(ValueError, match="twice"):
-            EvalConfig(executor="threads", backend="processes")
-
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_round_trip_backends_with_batch(self, backend):
         """EvalConfig(executor='batch') survives the full driver path."""
-        rows_rel, rows_stats = run_seminaive("two-sided-paths", None)
+        rows_rel, rows_stats = run_seminaive("two-sided-paths",
+                                             ROWS_CONFIG)
         batch_rel, batch_stats = run_seminaive(
             "two-sided-paths", batch_config(backend)
         )
